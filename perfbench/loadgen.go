@@ -72,8 +72,9 @@ func (b *bench) schedule(rng *rand.Rand, rate float64, dur time.Duration) []op {
 // the next op in schedule order, waits for its send time if early, and
 // sends it; a late worker sends at once (the backlog shows up as latency).
 // Ops not yet sent when the schedule overruns its end by more than grace
-// are abandoned and reported as failed.
-func (b *bench) runPhase(ops []op, grace time.Duration) []sample {
+// are abandoned and their samples marked not ok; with countAbandoned set
+// each one is also attempted and failed, so the run is not correct.
+func (b *bench) runPhase(ops []op, grace time.Duration, countAbandoned bool) []sample {
 	out := make([]sample, len(ops))
 	var next atomic.Int64
 	start := time.Now()
@@ -99,6 +100,10 @@ func (b *bench) runPhase(ops []op, grace time.Duration) []sample {
 				sent := time.Now()
 				if sent.After(deadline) {
 					out[i] = sample{write: o.write, read: o.read, lat: sent.Sub(due), lag: sent.Sub(due)}
+					if countAbandoned {
+						b.attempted.Add(1)
+						b.fail(fmt.Sprintf("op %d abandoned %v after its send time", i, sent.Sub(due).Round(time.Millisecond)))
+					}
 					continue
 				}
 				s := b.do(o)

@@ -4,7 +4,7 @@
 // the reference evaluator, and prints the metrics of one workload:
 //
 //	perfbench --workload churn --seed 1 --seconds 30 --trace 0
-//	perfbench compare old.json new.json
+//	perfbench compare old1.json old2.json ... -- new1.json new2.json ...
 //
 // The last line of standard output is one JSON object with the keys
 // correct, attempted, failed and metrics. With --trace 0 the metrics are
@@ -92,13 +92,20 @@ type bench struct {
 
 // defaultConfig is smoqed's flag defaults: a 256-plan cache, admission at
 // 4×GOMAXPROCS with a 100 ms queue wait, parallelism off and the default
-// tracer.
+// tracer. One departure: a collection query evaluates its documents one at
+// a time (smoqed's default fans out on GOMAXPROCS workers). On a shared
+// two-vCPU host, a fan-out over both vCPUs ran either about twice as fast
+// as one worker or slower than it, depending on whether the host let both
+// run at once; the median then sat between the two modes and swung from
+// run to run (interquartile spread 0.34 of the median over five seeds,
+// against 0.09 with one worker).
 func defaultConfig() server.Config {
 	return server.Config{
 		CacheSize:          256,
 		MaxConcurrentEvals: 4 * runtime.GOMAXPROCS(0),
 		QueueWait:          100 * time.Millisecond,
 		MaxParallelism:     0,
+		CorpusWorkers:      -1,
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -65,10 +66,17 @@ func TestWorkloadsSmoke(t *testing.T) {
 				t.Errorf("%s traced=%v: %d metrics, BENCHMARK.json lists %d", sp.name, traced, len(rec.Metrics), len(want))
 			}
 			if !traced {
-				for _, name := range []string{"read_tail_ms", "write_tail_ms", "max_rate_rps"} {
+				ungated := []string{"read_tail_ms", "max_rate_rps"}
+				if sp.writeRate > 0 {
+					ungated = append(ungated, "write_p50_ms", "write_tail_ms")
+				}
+				for _, name := range ungated {
 					if _, ok := rec.Ungated[name]; !ok {
 						t.Errorf("%s: ungated metric %s missing", sp.name, name)
 					}
+				}
+				if len(rec.Ungated) != len(ungated) {
+					t.Errorf("%s: ungated metrics %v, want %v", sp.name, rec.Ungated, ungated)
 				}
 			}
 			if !traced && rec.Metrics["success_frac"].Value != 1 {
@@ -154,5 +162,74 @@ func TestTailBeyond(t *testing.T) {
 	}
 	if v, _ := tailBeyond([]float64{3, 1, 2}); v != 1 {
 		t.Errorf("tailBeyond of 3 samples = %v, want the smallest", v)
+	}
+}
+
+// TestAbandonedNominalOpsFail checks that requests a nominal phase
+// abandons for overrunning its schedule are attempted and failed, while
+// the same on a ladder rung only marks the samples.
+func TestAbandonedNominalOpsFail(t *testing.T) {
+	for _, nominal := range []bool{true, false} {
+		b := &bench{conns: 1}
+		// A negative grace puts the deadline before the phase starts, so
+		// every op is abandoned without being sent.
+		samples := b.runPhase([]op{{}, {at: time.Millisecond}}, -time.Second, nominal)
+		for _, s := range samples {
+			if s.ok {
+				t.Errorf("nominal=%v: abandoned op marked ok", nominal)
+			}
+		}
+		want := 0
+		if nominal {
+			want = 2
+		}
+		if got := b.failureCount(); got != want || int(b.attempted.Load()) != want {
+			t.Errorf("nominal=%v: %d failed, %d attempted, want %d each", nominal, got, b.attempted.Load(), want)
+		}
+	}
+}
+
+// TestCompareJudgesMedians checks that compare judges bounds on the
+// medians of several runs per side, and only warns for fewer.
+func TestCompareJudgesMedians(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(`{"end_to_end":[{"name":"read_p50_ms","better":"lower","bound":0.25}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, seed int64, v float64) string {
+		r := record{Workload: "churn", Seed: seed, Metrics: map[string]metric{"read_p50_ms": {Value: v, Unit: "ms"}}}
+		path := filepath.Join(dir, name)
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	side := func(prefix string, vs ...float64) []string {
+		var out []string
+		for i, v := range vs {
+			out = append(out, write(prefix+string(rune('a'+i))+".json", int64(i), v))
+		}
+		return out
+	}
+	olds := side("old", 1, 1, 1, 1, 1)
+	steady := side("steady", 2, 1.1, 1.1, 1.1, 0.5)   // one outlier, median +10%
+	slower := side("slower", 1.3, 1.3, 1.4, 1.3, 1.3) // median +30%
+	args := func(a, b []string) []string {
+		out := append([]string{"--benchmark", spec}, a...)
+		return append(append(out, "--"), b...)
+	}
+	if code := compareMain(args(olds, steady)); code != 0 {
+		t.Errorf("median within bound: exit %d, want 0", code)
+	}
+	if code := compareMain(args(olds, slower)); code != 1 {
+		t.Errorf("median outside bound: exit %d, want 1", code)
+	}
+	if code := compareMain([]string{"--benchmark", spec, olds[0], slower[0]}); code != 0 {
+		t.Errorf("one run a side: exit %d, want 0 (too few runs to judge)", code)
 	}
 }

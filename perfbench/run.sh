@@ -3,7 +3,7 @@
 # the given arguments, from the root of the checkout:
 #
 #   bash perfbench/run.sh --workload churn --seed 1 --seconds 30 --trace 0
-#   bash perfbench/run.sh compare old.json new.json
+#   bash perfbench/run.sh compare old-*.json -- new-*.json
 #
 # Everything the build and the runs write stays under .bench_build.
 set -euo pipefail

@@ -209,7 +209,7 @@ func runTraced(ctx context.Context, in *inputs, seconds time.Duration, rec *reco
 	if _, err := b.setup(ctx, setupsPerRun, &spans); err != nil {
 		return err
 	}
-	plain := b.timed("nominal", rate, warmNominal, half)
+	plain := b.timed("nominal", rate, warmNominal, half, true)
 	scrapes, err := b.scrape(20, &spans)
 	if err != nil {
 		return err
@@ -226,7 +226,7 @@ func runTraced(ctx context.Context, in *inputs, seconds time.Duration, rec *reco
 		return err
 	}
 	cache0, st0 := tb.srv.Cache().Stats(), tb.srv.Stats()
-	tr := tb.timed("nominal", rate, warmNominal, half)
+	tr := tb.timed("nominal", rate, warmNominal, half, true)
 	cache1, st1 := tb.srv.Cache().Stats(), tb.srv.Stats()
 	retained, dropped, _ := tb.srv.Traces().Totals()
 	if dropped > 0 || tb.srv.Traces().Len() < int(retained) {
