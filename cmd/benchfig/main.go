@@ -46,13 +46,12 @@ func main() {
 	galax := flag.Bool("galax", false, "report the Galax-stand-in comparison (§7 in-text)")
 	sizebound := flag.Bool("sizebound", false, "report the Theorem 5.1 size-bound table")
 	blowup := flag.Bool("blowup", false, "report the Corollary 3.3 blow-up table (MFA vs explicit Xreg)")
-	compiled := flag.Bool("compiled", false, "report compiled (subset-DFA) vs interpreted evaluation")
 	all := flag.Bool("all", false, "run every experiment")
 	flag.Parse()
 
 	h := &harness{unit: *unit, steps: *steps, runs: *runs}
 
-	specific := *fig != "" || *pruning || *galax || *sizebound || *blowup || *compiled
+	specific := *fig != "" || *pruning || *galax || *sizebound || *blowup
 	runAll := *all || !specific
 
 	if runAll || *fig != "" {
@@ -78,9 +77,6 @@ func main() {
 	}
 	if runAll || *blowup {
 		h.runBlowup()
-	}
-	if runAll || *compiled {
-		h.runCompiled()
 	}
 }
 
@@ -348,45 +344,6 @@ func (h *harness) runBlowup() {
 			return
 		}
 		fmt.Printf("  %3d %6d %8d %16s\n", k, len(v.Target.Types()), m.Size(), extracted)
-	}
-	fmt.Println()
-}
-
-// runCompiled compares the compiled evaluation layer (lazy subset DFA over
-// the selecting NFA + bitset AFAs) against the interpreted NFA simulation,
-// on the pointer path and the columnar path, for every example query. The
-// two modes make identical decisions (same answers, same Stats), so the
-// ratio isolates the per-node cost of set simulation vs one cached DFA
-// transition.
-func (h *harness) runCompiled() {
-	doc := h.doc(min(2, h.steps-1))
-	cd := smoqe.BuildColumnar(doc)
-	fmt.Printf("Compiled evaluation: lazy subset DFA + bitset AFAs vs interpreted\n")
-	fmt.Printf("  document: %.2f MB\n", float64(doc.XMLSize())/(1<<20))
-	fmt.Printf("  %-6s %11s %11s %8s %11s %11s %8s\n",
-		"query", "ptr-interp", "ptr-comp", "speedup", "col-interp", "col-comp", "speedup")
-	queries := append(hospital.XPathQueries(), hospital.RegularXPathQueries()...)
-	for _, nq := range queries {
-		m, err := smoqe.Compile(nq.Query)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchfig:", err)
-			return
-		}
-		pi := smoqe.NewEngine(m)
-		pi.SetCompiled(false)
-		tPI := h.time(func() { pi.Eval(doc.Root) })
-		pc := smoqe.NewEngine(m)
-		tPC := h.time(func() { pc.Eval(doc.Root) })
-		ci := smoqe.NewEngine(m)
-		ci.SetCompiled(false)
-		bi := ci.BindColumnar(cd)
-		tCI := h.time(func() { ci.EvalColumnar(bi) })
-		cc := smoqe.NewEngine(m)
-		bc := cc.BindColumnar(cd)
-		tCC := h.time(func() { cc.EvalColumnar(bc) })
-		fmt.Printf("  %-6s %10.4fs %10.4fs %7.2fx %10.4fs %10.4fs %7.2fx\n",
-			nq.Name, tPI.Seconds(), tPC.Seconds(), tPI.Seconds()/tPC.Seconds(),
-			tCI.Seconds(), tCC.Seconds(), tCI.Seconds()/tCC.Seconds())
 	}
 	fmt.Println()
 }

@@ -5,10 +5,13 @@ package crosscheck_test
 // procedure, so on ANY automaton — compiled directly, rewritten over a
 // hand-written view, or rewritten over a secview-derived policy view — it
 // must return byte-identical answers AND identical Stats, on the pointer
-// path and the columnar path alike.
+// path and the columnar path alike. The interpreted pointer pass is the one
+// reference both are held to.
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -22,9 +25,11 @@ import (
 	"smoqe/internal/xpath"
 )
 
-// checkCompiled runs m both ways on doc (and its columnar form) and fails
-// on any divergence in answers or Stats.
-func checkCompiled(t *testing.T, tag string, m *mfa.MFA, doc *xmltree.Document, cd *colstore.Document) {
+// checkCompiled runs m compiled and interpreted on doc, and compiled on its
+// columnar form cd (whose preorder ids pre maps the pointer nodes to), and
+// fails on any divergence from the interpreted pointer reference in answers
+// or Stats.
+func checkCompiled(t *testing.T, tag string, m *mfa.MFA, doc *xmltree.Document, cd *colstore.Document, pre map[*xmltree.Node]int) {
 	t.Helper()
 	interp := hype.New(m)
 	interp.SetCompiled(false)
@@ -42,24 +47,29 @@ func checkCompiled(t *testing.T, tag string, m *mfa.MFA, doc *xmltree.Document, 
 	if gotStats != wantStats {
 		t.Fatalf("%s: compiled Stats %+v, interpreted %+v", tag, gotStats, wantStats)
 	}
-	if cd == nil {
-		return
+	checkColumnarStats(t, tag, m, cd, pre, wantNodes, wantStats)
+}
+
+// checkColumnarStats evaluates m on the columnar form and demands the
+// preorder ids of the reference answer want and the reference Stats.
+func checkColumnarStats(t *testing.T, tag string, m *mfa.MFA, cd *colstore.Document, pre map[*xmltree.Node]int, want []*xmltree.Node, wantStats hype.Stats) {
+	t.Helper()
+	gotIDs, gotStats := hype.New(m).EvalColumnarWithStats(cd)
+	wantIDs := make([]int, len(want))
+	for j, n := range want {
+		wantIDs[j] = pre[n]
 	}
-	ci := hype.New(m)
-	ci.SetCompiled(false)
-	wantIDs, wantCStats := ci.EvalColumnarWithStats(ci.BindColumnar(cd))
-	cc := hype.New(m)
-	gotIDs, gotCStats := cc.EvalColumnarWithStats(cc.BindColumnar(cd))
+	sort.Ints(wantIDs)
 	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("%s: columnar compiled %d ids, interpreted %d", tag, len(gotIDs), len(wantIDs))
+		t.Fatalf("%s: columnar %d ids, interpreted pointer %d", tag, len(gotIDs), len(wantIDs))
 	}
 	for j := range gotIDs {
 		if gotIDs[j] != wantIDs[j] {
 			t.Fatalf("%s: columnar id %d differs: %d vs %d", tag, j, gotIDs[j], wantIDs[j])
 		}
 	}
-	if gotCStats != wantCStats {
-		t.Fatalf("%s: columnar compiled Stats %+v, interpreted %+v", tag, gotCStats, wantCStats)
+	if gotStats != wantStats {
+		t.Fatalf("%s: columnar Stats %+v, interpreted pointer %+v", tag, gotStats, wantStats)
 	}
 }
 
@@ -71,6 +81,7 @@ func TestCompiledAgreesOnGeneratedQueries(t *testing.T) {
 	}
 	doc := corpus(t, 60, 47)
 	cd := colstore.FromTree(doc)
+	pre := preorderOf(doc)
 	g := qgen.New(hospital.DocDTD(), 4242, corpusTexts)
 	for i := 0; i < 200; i++ {
 		q := g.Query()
@@ -78,7 +89,7 @@ func TestCompiledAgreesOnGeneratedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d %q: compile: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("query %d %q", i, q), m, doc, cd, pre)
 	}
 }
 
@@ -92,6 +103,7 @@ func TestCompiledAgreesOnViewRewritings(t *testing.T) {
 	v := hospital.Sigma0()
 	doc := corpus(t, 50, 53)
 	cd := colstore.FromTree(doc)
+	pre := preorderOf(doc)
 	g := qgen.New(hospital.ViewDTD(), 777, []string{"heart disease", "flu", "lung disease"})
 	for i := 0; i < 150; i++ {
 		q := g.Query()
@@ -99,7 +111,7 @@ func TestCompiledAgreesOnViewRewritings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("view query %d %q: rewrite: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("view query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("view query %d %q", i, q), m, doc, cd, pre)
 	}
 }
 
@@ -124,6 +136,7 @@ func TestCompiledAgreesOnSecviewRewritings(t *testing.T) {
 	}
 	doc := corpus(t, 40, 59)
 	cd := colstore.FromTree(doc)
+	pre := preorderOf(doc)
 	g := qgen.New(v.Target, 313, corpusTexts)
 	for i := 0; i < 120; i++ {
 		q := g.Query()
@@ -131,7 +144,7 @@ func TestCompiledAgreesOnSecviewRewritings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("secview query %d %q: rewrite: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("secview query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("secview query %d %q", i, q), m, doc, cd, pre)
 	}
 }
 
@@ -169,8 +182,9 @@ func TestCompiledAgreesUnderTinyCache(t *testing.T) {
 }
 
 // FuzzCompiledAgreesWithInterpreted is the fuzz form: for any document and
-// query the parsers accept, the compiled evaluation must agree with the
-// interpreted one on answers and Stats — and neither may panic.
+// query the parsers accept, the compiled pointer, columnar and
+// shard-parallel evaluations must agree with the interpreted pointer
+// reference on answers and Stats — and none may panic.
 func FuzzCompiledAgreesWithInterpreted(f *testing.F) {
 	seeds := []struct{ xml, query string }{
 		{"<r><a><b>x</b></a><a/></r>", "a/b"},
@@ -219,6 +233,21 @@ func FuzzCompiledAgreesWithInterpreted(f *testing.F) {
 		if gotStats != wantStats {
 			t.Fatalf("query %q on %q: compiled Stats %+v, interpreted %+v",
 				querySrc, xmlSrc, gotStats, wantStats)
+		}
+		tag := fmt.Sprintf("query %q on %q", querySrc, xmlSrc)
+		checkColumnarStats(t, tag, m, colstore.FromTree(doc), preorderOf(doc), wantNodes, wantStats)
+		parNodes, pst, err := hype.New(m).EvalParallel(context.Background(), doc.Root, 2)
+		if err != nil {
+			t.Fatalf("%s: parallel: %v", tag, err)
+		}
+		if len(parNodes) != len(wantNodes) || pst.Stats != wantStats {
+			t.Fatalf("%s: parallel %d nodes %+v, interpreted %d nodes %+v",
+				tag, len(parNodes), pst.Stats, len(wantNodes), wantStats)
+		}
+		for i := range parNodes {
+			if parNodes[i] != wantNodes[i] {
+				t.Fatalf("%s: parallel node %d differs", tag, i)
+			}
 		}
 	})
 }

@@ -38,8 +38,7 @@ func preorderOf(d *xmltree.Document) map[*xmltree.Node]int {
 // ids of the reference answer, exactly.
 func checkColumnar(t *testing.T, tag string, m *mfa.MFA, cd *colstore.Document, idx map[*xmltree.Node]int, want []*xmltree.Node) {
 	t.Helper()
-	e := hype.New(m)
-	got := e.EvalColumnar(e.BindColumnar(cd))
+	got := hype.New(m).EvalColumnar(cd)
 	wantIDs := make([]int, len(want))
 	for j, n := range want {
 		wantIDs[j] = idx[n]

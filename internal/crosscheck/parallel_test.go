@@ -12,10 +12,10 @@ import (
 
 // TestParallelAgreesOnGeneratedQueries is the shard-parallel equivalence
 // property: EvalParallel must return the exact node sequence AND the exact
-// merged Stats of the sequential evaluator, for plain HyPE and for OptHyPE
-// with both index flavours, across generated queries and several worker
-// counts. Any divergence — a reordered hit, a miscounted skip, a pruning
-// decision taken differently inside a shard — fails here.
+// merged Stats of the interpreted sequential reference, for plain HyPE and
+// for OptHyPE with both index flavours, across generated queries and
+// several worker counts. Any divergence — a reordered hit, a miscounted
+// skip, a pruning decision taken differently inside a shard — fails here.
 func TestParallelAgreesOnGeneratedQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
@@ -43,6 +43,7 @@ func TestParallelAgreesOnGeneratedQueries(t *testing.T) {
 		}
 		for _, eng := range engines {
 			seq := eng.mk(m)
+			seq.SetCompiled(false)
 			want := seq.Eval(doc.Root)
 			wantSt := seq.Stats()
 			if len(want) > 0 {

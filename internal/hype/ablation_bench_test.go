@@ -6,7 +6,6 @@ package hype
 import (
 	"testing"
 
-	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/mfa"
@@ -48,43 +47,4 @@ func BenchmarkIndexAblation(b *testing.B) {
 			e.Eval(doc.Root)
 		}
 	})
-}
-
-// BenchmarkCompiledAblation isolates the compiled evaluation layer (lazy
-// subset DFA over the selecting NFA + bitset AFAs) against interpreted NFA
-// simulation, on the pointer and the columnar path, for a descendant query
-// and the recursive RX-C. Both modes make identical decisions, so the delta
-// is purely the per-node transition cost.
-func BenchmarkCompiledAblation(b *testing.B) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
-	cd := colstore.FromTree(doc)
-	for _, q := range []struct{ name, src string }{
-		{"diagnosis", "//diagnosis"},
-		{"RXC", hospital.RXC},
-	} {
-		m := mfa.MustCompile(xpath.MustParse(q.src))
-		for _, compiled := range []bool{false, true} {
-			mode := "interpreted"
-			if compiled {
-				mode = "compiled"
-			}
-			b.Run(q.name+"/pointer-"+mode, func(b *testing.B) {
-				e := New(m)
-				e.SetCompiled(compiled)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Eval(doc.Root)
-				}
-			})
-			b.Run(q.name+"/columnar-"+mode, func(b *testing.B) {
-				e := New(m)
-				e.SetCompiled(compiled)
-				bind := e.BindColumnar(cd)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.EvalColumnar(bind)
-				}
-			})
-		}
-	}
 }

@@ -30,20 +30,26 @@ func preorderIndex(d *xmltree.Document) map[*xmltree.Node]int {
 // TestColumnarMatchesPointerPath runs the full source-query workload on
 // both representations and demands identical answers AND identical
 // statistics — the columnar DFS must visit, prune and evaluate exactly
-// what the pointer DFS does.
+// what the interpreted pointer reference does. The two absent-label
+// queries pin the has-transitions test: a transition on a label the
+// document lacks still makes the children worth a look, and each of them
+// is then pruned and counted.
 func TestColumnarMatchesPointerPath(t *testing.T) {
 	docs := map[string]*xmltree.Document{
 		"sample":     hospital.SampleDocument(),
 		"datagen-60": datagen.Generate(datagen.DefaultConfig(60)),
 	}
+	queries := append([]string{"department/nosuch", "department/patient/nosuch"}, sourceQueries...)
 	for name, doc := range docs {
 		idx := preorderIndex(doc)
 		cd := colstore.FromTree(doc)
-		for _, src := range sourceQueries {
+		for _, src := range queries {
 			q := xpath.MustParse(src)
 			m := mfa.MustCompile(q)
+			ref := hype.New(m)
+			ref.SetCompiled(false)
+			nodes, pst := ref.EvalWithStats(doc.Root)
 			e := hype.New(m)
-			nodes, pst := e.EvalWithStats(doc.Root)
 			want := make([]int, len(nodes))
 			for i, n := range nodes {
 				want[i] = idx[n]
@@ -54,8 +60,7 @@ func TestColumnarMatchesPointerPath(t *testing.T) {
 					want[j], want[j-1] = want[j-1], want[j]
 				}
 			}
-			b := e.BindColumnar(cd)
-			got, cst, err := e.EvalColumnarCtx(context.Background(), b)
+			got, cst, err := e.EvalColumnarCtx(context.Background(), cd)
 			if err != nil {
 				t.Fatalf("%s %q: columnar error: %v", name, src, err)
 			}
@@ -84,8 +89,8 @@ func TestColumnarSnapshotAnswersIdentical(t *testing.T) {
 	}
 	for _, src := range sourceQueries {
 		e := hype.New(mfa.MustCompile(xpath.MustParse(src)))
-		got := e.EvalColumnar(e.BindColumnar(loaded))
-		want := e.EvalColumnar(e.BindColumnar(cd))
+		got := e.EvalColumnar(loaded)
+		want := e.EvalColumnar(cd)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: loaded snapshot answers %v, want %v", src, got, want)
 		}
@@ -96,10 +101,9 @@ func TestColumnarCancellation(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	cd := colstore.FromTree(doc)
 	e := hype.New(mfa.MustCompile(xpath.MustParse("//patient")))
-	b := e.BindColumnar(cd)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.EvalColumnarCtx(ctx, b); err == nil {
+	if _, _, err := e.EvalColumnarCtx(ctx, cd); err == nil {
 		t.Fatal("cancelled context: want error")
 	}
 }
@@ -109,8 +113,7 @@ func TestColumnarLimits(t *testing.T) {
 	cd := colstore.FromTree(doc)
 	e := hype.New(mfa.MustCompile(xpath.MustParse("//patient")))
 	e.SetLimits(hype.Limits{MaxVisited: 50})
-	b := e.BindColumnar(cd)
-	_, _, err := e.EvalColumnarCtx(context.Background(), b)
+	_, _, err := e.EvalColumnarCtx(context.Background(), cd)
 	if err == nil {
 		t.Fatal("exceeded visit budget: want error")
 	}

@@ -18,10 +18,9 @@ func benchColumnar(b *testing.B, qsrc string) {
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse(qsrc))
 	e := hype.New(m)
-	bind := e.BindColumnar(cd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.EvalColumnar(bind)
+		e.EvalColumnar(cd)
 	}
 }
 
@@ -29,17 +28,3 @@ func BenchmarkColumnarSimplePath(b *testing.B)   { benchColumnar(b, "department/
 func BenchmarkColumnarLargeFilter(b *testing.B)  { benchColumnar(b, hospital.XPA) }
 func BenchmarkColumnarStarInFilter(b *testing.B) { benchColumnar(b, hospital.RXC) }
 func BenchmarkColumnarBigAutomaton(b *testing.B) { benchColumnar(b, hospital.QExample21) }
-
-// BenchmarkColumnarBind isolates the per-(automaton, document) label
-// translation cost that BindColumnar pays once before any number of
-// evaluations.
-func BenchmarkColumnarBind(b *testing.B) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
-	cd := colstore.FromTree(doc)
-	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
-	e := hype.New(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.BindColumnar(cd)
-	}
-}

@@ -22,13 +22,11 @@ package hype
 // Labels are interned into a dense alphabet with a single shared "other"
 // class for labels the automaton never mentions: all such labels behave
 // identically (only wildcard edges and seeds can fire on them), so they
-// share one cached transition per subset state. The interning order is a
-// deterministic function of the automaton alone (internLabels), which lets
-// the columnar binding translate document label ids to program label ids
-// without ever seeing the engine.
+// share one cached transition per subset state. A columnar run translates
+// the document's label table into this alphabet once at its start.
 //
-// The compiled path replays the interpreted path's decisions exactly — same
-// visits, same prunes, same vertices, same edge multiset, same AFA
+// The compiled path replays the interpreted reference's decisions exactly —
+// same visits, same prunes, same vertices, same edge multiset, same AFA
 // activations — so answers AND Stats are identical; internal/crosscheck
 // enforces this property over the generated corpus.
 
@@ -80,10 +78,9 @@ type program struct {
 }
 
 // internLabels assigns dense ids to every label the automaton's transitions
-// (NFA edges and AFA TRANS steps) can consume. The order is deterministic —
+// (NFA edges and AFA TRANS steps) can consume, in a deterministic order:
 // NFA states ascending, transitions in declaration order, then AFAs and
-// their states ascending — so any party holding the MFA alone (the columnar
-// binding) computes the identical mapping.
+// their states ascending.
 func internLabels(m *mfa.MFA) map[string]int32 {
 	labels := make(map[string]int32)
 	add := func(lab string) {
@@ -381,7 +378,7 @@ type dfaGuard struct {
 // dfaState is one interned subset of NFA states (ε-closed), with everything
 // a visit derives from the active state set precomputed: the sorted state
 // list (the cans vertex block), intra-node ε edges, final states, guard
-// seeds and the pointer-path has-transitions flag.
+// seeds and the has-transitions flag.
 type dfaState struct {
 	set      nfaSet
 	states   []int32
@@ -510,6 +507,15 @@ func (d *dfaCache) newState(set nfaSet) *dfaState {
 		}
 	}
 	return st
+}
+
+// target is the subset state a child reached through t starts in: t's
+// target, or the empty state when only AFA seeds reach the child.
+func (d *dfaCache) target(t *dfaTrans) *dfaState {
+	if t.next == nil {
+		return d.empty
+	}
+	return t.next
 }
 
 // step returns the subset transition of ds on program label lid (-1 for the
@@ -668,14 +674,14 @@ func CompiledPlan(m *mfa.MFA) CompiledStats {
 
 // Engine knobs --------------------------------------------------------------
 
-// SetCompiled enables (the default) or disables the compiled evaluation
-// layer on this engine. The interpreted and compiled paths return identical
-// answers and identical Stats; the knob exists for A/B measurement and as an
-// escape hatch. Must not be called concurrently with an evaluation.
+// SetCompiled(false) makes this engine's sequential pointer evaluations
+// (Eval, EvalCtx, EvalTraced, EvalTagged and their variants) run the
+// interpreted reference pass instead of the compiled one (the default). The
+// two return identical answers, Stats and traces; the reference exists for
+// the equivalence tests to compare against. Columnar and shard-parallel
+// runs are always compiled. Must not be called concurrently with an
+// evaluation.
 func (e *Engine) SetCompiled(on bool) { e.compiledOff = !on }
-
-// Compiled reports whether the compiled evaluation layer is enabled.
-func (e *Engine) Compiled() bool { return !e.compiledOff && e.prog != nil }
 
 // SetCompiledCacheCap overrides the subset-state cache bound (0 restores the
 // default). It resets the clone's cache; tests use tiny caps to exercise the
@@ -687,7 +693,8 @@ func (e *Engine) SetCompiledCacheCap(n int) {
 
 // CompiledStats returns the compiled-layer statistics of the most recent
 // run on this engine (clone); Enabled is false when that run was
-// interpreted.
+// interpreted. A parallel run reports the planner's share: its shard
+// workers cache subset states on clones of their own.
 func (e *Engine) CompiledStats() CompiledStats { return e.lastCompiled }
 
 // ensureDFA returns the clone's lazy subset automaton, creating it on first

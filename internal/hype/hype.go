@@ -51,9 +51,10 @@ type Engine struct {
 
 	// prog is the compiled evaluation program (compile.go), immutable and
 	// shared by clones; dfa is this clone's lazy subset-automaton cache
-	// (never shared — Clone resets it). compiledOff disarms the compiled
-	// path (SetCompiled), dfaCap overrides the cache bound for tests, and
-	// lastCompiled keeps the most recent run's compiled-layer statistics.
+	// (never shared — Clone resets it). compiledOff selects the interpreted
+	// sequential pointer reference (SetCompiled), dfaCap overrides the cache
+	// bound for tests, and lastCompiled keeps the most recent run's
+	// compiled-layer statistics.
 	prog         *program
 	dfa          *dfaCache
 	dfaCap       int
@@ -350,12 +351,16 @@ func (e *Engine) run(cctx context.Context, ctx *xmltree.Node, tr *Trace) ([]cand
 			return nil, Stats{}, err
 		}
 	}
-	r := &run{Engine: e, trace: tr, ctx: cctx}
-	if e.limits.active() {
-		r.bud = &budget{}
-	}
+	r := e.newRun(cctx, tr)
 	var res visitResult
-	if e.Compiled() {
+	if e.compiledOff {
+		e.lastCompiled = CompiledStats{}
+		ms := r.getNFASet()
+		ms.set(e.m.Start)
+		r.closeNFA(ms)
+		seeds := r.guardSeeds(ms)
+		res = r.visit(ctx, ms, seeds)
+	} else {
 		d := e.ensureDFA()
 		pre := d.snap()
 		root, seeds := r.rootStateC()
@@ -365,29 +370,44 @@ func (e *Engine) run(cctx context.Context, ctx *xmltree.Node, tr *Trace) ([]cand
 			cs := e.lastCompiled
 			tr.Compiled = &cs
 		}
-	} else {
-		e.lastCompiled = CompiledStats{}
-		ms := r.getNFASet()
-		ms.set(e.m.Start)
-		r.closeNFA(ms)
-		seeds := r.guardSeeds(ms)
-		res = r.visit(ctx, ms, seeds)
 	}
-	if r.cancelled {
-		e.stats = r.stats
-		err := r.limitErr
-		if err == nil {
-			err = cctx.Err()
-		}
-		return nil, r.stats, err
-	}
+	return r.finish(res)
+}
 
-	// Phase 2: walk cans from the initial vertex (ctx, start state).
+// newRun starts one evaluation on e: private statistics, the optional
+// trace and cancellation context, and a fresh budget when limits are
+// armed.
+func (e *Engine) newRun(cctx context.Context, tr *Trace) *run {
+	r := &run{Engine: e, trace: tr, ctx: cctx}
+	if e.limits.active() {
+		r.bud = &budget{}
+	}
+	return r
+}
+
+// finish ends a sequential run whose DFS returned the root's result res:
+// an aborted run reports its error (the exceeded budget, else the
+// context's) with its partial statistics; a complete one walks the cans
+// DAG (phase 2) and returns the surviving candidates.
+func (r *run) finish(res visitResult) ([]cand, Stats, error) {
+	if r.cancelled {
+		r.Engine.stats = r.stats
+		return nil, r.stats, r.abortErr()
+	}
 	hits := r.liveCands(res)
 	r.stats.CansVertices = r.numVerts
 	r.stats.CansEdges = len(r.edgeList)
-	e.stats = r.stats
+	r.Engine.stats = r.stats
 	return hits, r.stats, nil
+}
+
+// abortErr is the reason a cancelled run stopped: its exceeded budget, or
+// else its context's error.
+func (r *run) abortErr() error {
+	if r.limitErr != nil {
+		return r.limitErr
+	}
+	return r.ctx.Err()
 }
 
 // liveCands walks the cans DAG from the initial vertex (the root's vertex

@@ -153,7 +153,8 @@ func TestShardWorkerErrorFailpoint(t *testing.T) {
 // the SAME limit (same *LimitError What/Limit) at the SAME point — both
 // paths flush consumption in identical cancelCheckInterval quanta over the
 // identical preorder DFS, so even the partial visited counts of aborted
-// runs must agree. Checked compiled and interpreted.
+// runs must agree. The columnar pass is checked against both the compiled
+// pointer pass and the interpreted pointer reference.
 func TestColumnarLimitsMatchPointer(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	cd := colstore.FromTree(doc)
@@ -174,8 +175,7 @@ func TestColumnarLimitsMatchPointer(t *testing.T) {
 				_, ptrStats, ptrErr := ptr.EvalCtx(context.Background(), doc.Root)
 
 				col := limitEngine(t, src, l)
-				col.SetCompiled(compiled)
-				_, colStats, colErr := col.EvalColumnarCtx(context.Background(), col.BindColumnar(cd))
+				_, colStats, colErr := col.EvalColumnarCtx(context.Background(), cd)
 
 				var ptrLE, colLE *hype.LimitError
 				if errors.As(ptrErr, &ptrLE) != errors.As(colErr, &colLE) {

@@ -5,23 +5,29 @@
 // makes the single-pass algorithm of §6 parallelizable without
 // approximation:
 //
-//  1. A sequential planner partially visits a small "spine" of nodes near
-//     the root, exactly the way visit() would (same pruning decisions, same
-//     vertex allocation), but instead of recursing it records each
-//     surviving element child as an independent shard task. When one shard
-//     holds most of the remaining work — the paper's hospital documents
-//     often hang everything below one or two departments — the planner
-//     expands that shard into a spine node of its own and re-shards its
-//     children, recursively, until no shard dominates.
-//  2. A bounded worker pool runs the shard visits on private Engine.Clone
-//     instances (shared immutable automaton metadata, private run state),
-//     honoring context cancellation.
+//  1. A sequential planner runs the entry half of the compiled visit
+//     (enterC, childC) on a small "spine" of nodes near the root — same
+//     pruning decisions, same vertex allocation — but instead of recursing
+//     it records each surviving element child as an independent shard
+//     task. When one shard holds most of the remaining work — the paper's
+//     hospital documents often hang everything below one or two
+//     departments — the planner expands that shard into a spine node of
+//     its own and re-shards its children, recursively, until no shard
+//     dominates.
+//  2. A bounded worker pool runs the compiled shard visits (visitC) on
+//     private Engine.Clone instances (shared immutable automaton metadata,
+//     private run state and subset-state cache), honoring context
+//     cancellation. A shard carries its start set as plain NFA bits and
+//     each worker interns it in its own clone's cache: subset states never
+//     cross clones.
 //  3. A sequential merge folds the shard results back in document order:
-//     shard vertex ids are offset into the global cans DAG, cans edges from
-//     spine vertices into shard roots are added, shard AFA truth vectors
-//     are OR-folded into the spine accumulators, and the spine's bottom-up
-//     AFA evaluations and guard kills run exactly where the sequential
-//     pass would have run them. Phase 2 then walks the merged DAG once.
+//     shard vertex ids are offset into the global cans DAG, the planner's
+//     subset transitions supply the cans edges from spine vertices into
+//     shard roots, shard AFA truth vectors are OR-folded into the spine
+//     accumulators (foldChildC), and the exit half of the visit (exitC) —
+//     bottom-up AFA evaluation and guard kills — runs at each spine node
+//     exactly where the sequential pass would have run it. Phase 2 then
+//     walks the merged DAG once.
 //
 // The result — answers, their order, and every Stats counter — is
 // identical to the sequential Eval by construction; only vertex numbering
@@ -61,32 +67,35 @@ const (
 	maxSplitRounds = 64
 )
 
-// spineChild is one element child of a spine node after the partial visit:
-// either a shard task, a nested spine node (the shard dominated and was
-// split further), or pruned (both nil — already accounted in Stats).
+// spineChild is one surviving element child of a spine node: either a
+// shard task or a nested spine node (the shard dominated and was split
+// further). lid and tr are the child's program label and the planner's
+// subset transition into it, which the merge folds the child through.
 type spineChild struct {
-	node  *xmltree.Node
+	lid   int32
+	tr    *dfaTrans
 	task  *shardTask
 	spine *spineNode
 }
 
-// spineNode is a node the planner visits sequentially. Its vertices live in
-// the planner run's (global) numbering; its bottom-up half — AFA evaluation
-// and guard kills — runs during the merge, after every child below it has
-// been folded.
+// spineNode is a node the planner visits sequentially. The planner runs the
+// entry half of its visit; f holds its vertices (in the planner run's
+// global numbering), relevance sets and accumulators. The exit half runs
+// during the merge, after every child below it has been folded, and leaves
+// the node's result in f.res.
 type spineNode struct {
-	node     *xmltree.Node
-	rel      []nfaSet    // closed AFA seed sets at node (nil per inactive AFA)
-	res      visitResult // vertices in the planner's global numbering
-	transAcc [][]bool    // bottom-up accumulators, filled by the merge
-	kids     []spineChild
+	node *xmltree.Node
+	f    frame
+	kids []spineChild
 }
 
 // shardTask is one independent subtree evaluation: the child node and the
-// exact state sets a sequential visit would have entered it with.
+// exact state sets a sequential visit would have entered it with — the
+// ε-closed NFA states as a private bitset (nil when only AFA seeds reach
+// the child) and the AFA seed sets.
 type shardTask struct {
 	node   *xmltree.Node
-	cms    nfaSet
+	set    nfaSet
 	cseeds []nfaSet
 	size   int // subtree element count, for the domination heuristic
 
@@ -114,9 +123,10 @@ type shardOut struct {
 
 // EvalParallel evaluates like Eval but fans independent subtrees out to a
 // bounded pool of workers (workers <= 0 means GOMAXPROCS). The answers and
-// statistics are exactly those of the sequential pass. The engine itself
-// acts as the sequential planner, so — like Eval — EvalParallel must not be
-// called concurrently on one Engine; workers run on private clones.
+// statistics are exactly those of the sequential pass. It always runs the
+// compiled pass, whatever SetCompiled says. The engine itself acts as the
+// sequential planner, so — like Eval — EvalParallel must not be called
+// concurrently on one Engine; workers run on private clones.
 func (e *Engine) EvalParallel(ctx context.Context, root *xmltree.Node, workers int) ([]*xmltree.Node, ParallelStats, error) {
 	hits, pst, err := e.runParallel(ctx, root, workers)
 	if err != nil {
@@ -144,17 +154,13 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 	// budget is shared with every worker run, so MaxVisited/MaxResultNodes
 	// bound the whole parallel evaluation, not each shard separately.
 	_, psp := trace.Start(ctx, "hype.plan")
-	r0 := &run{Engine: e, ctx: ctx}
-	if e.limits.active() {
-		r0.bud = &budget{}
-	}
-	ms := r0.getNFASet()
-	ms.set(e.m.Start)
-	r0.closeNFA(ms)
-	seeds := r0.guardSeeds(ms)
+	r0 := e.newRun(ctx, nil)
+	d := e.ensureDFA()
+	pre := d.snap()
+	rootState, seeds := r0.rootStateC()
 
 	var tasks []*shardTask
-	rootSpine := r0.expandSpine(root, ms, seeds, &tasks)
+	rootSpine := r0.expandSpine(root, rootState, seeds, &tasks)
 	spines := []*spineNode{rootSpine}
 
 	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
@@ -173,15 +179,20 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 		}
 		t := tasks[big]
 		tasks = append(tasks[:big], tasks[big+1:]...)
-		sp := r0.expandSpine(t.node, t.cms, t.cseeds, &tasks)
-		t.parent.kids[t.slot] = spineChild{node: t.node, spine: sp}
+		kc := &t.parent.kids[t.slot]
+		sp := r0.expandSpine(t.node, d.target(kc.tr), t.cseeds, &tasks)
+		kc.task, kc.spine = nil, sp
 		spines = append(spines, sp)
 	}
+	e.lastCompiled = d.delta(pre)
 
 	pst := ParallelStats{Shards: len(tasks), SpineNodes: len(spines)}
 	psp.AttrInt("shards", int64(len(tasks)))
 	psp.AttrInt("spine_nodes", int64(len(spines)))
 	psp.End()
+	if r0.cancelled {
+		return nil, pst, r0.abortErr()
+	}
 	if ctx != nil && ctx.Err() != nil {
 		return nil, pst, ctx.Err()
 	}
@@ -202,7 +213,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wr := &run{Engine: e.Clone(), ctx: ctx, bud: r0.bud}
+				wr := newWorkerRun(e, r0)
 				for t := range ch {
 					if wr.cancelled || (ctx != nil && ctx.Err() != nil) {
 						t.out.cancelled = true
@@ -210,10 +221,11 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 					}
 					runShard(wr, t)
 					if t.out.err != nil {
-						// The run's internal state (pools, DAG buffers) is
-						// suspect after a panic or an aborted visit; start
-						// the next task from a fresh clone.
-						wr = &run{Engine: e.Clone(), ctx: ctx, bud: r0.bud}
+						// The run's internal state (pools, DAG buffers,
+						// subset cache) is suspect after a panic or an
+						// aborted visit; start the next task from a fresh
+						// clone.
+						wr = newWorkerRun(e, r0)
 					}
 				}
 			}()
@@ -241,7 +253,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 	}
 
 	// Phase 2 over the merged DAG, then the merged statistics.
-	hits := r0.liveCands(rootSpine.res)
+	hits := r0.liveCands(rootSpine.f.res)
 	st := r0.stats
 	for _, t := range tasks {
 		addStats(&st, t.out.stats)
@@ -283,55 +295,42 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 	for i := len(spines) - 1; i >= 0; i-- {
 		sp := spines[i]
 		for _, kc := range sp.kids {
-			switch {
-			case kc.task != nil:
-				out := &kc.task.out
-				off := int32(r0.numVerts)
-				r0.numVerts += out.numVerts
-				r0.dead = append(r0.dead, out.dead...)
-				for _, ep := range out.edges {
-					r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
-				}
-				for _, c := range out.cands {
-					c.vid += off
-					r0.cands = append(r0.cands, c)
-				}
-				r0.linkChild(&sp.res, kc.node.Label, out.res.states, off+out.res.base)
-				r0.foldChildAFA(sp.rel, sp.transAcc, kc.node.Label, out.res.afaVals)
-				// The shard's private DAG is folded in; drop it now so the
-				// GC reclaims it before the rest of the merge runs.
-				kc.task.out = shardOut{stats: out.stats}
-			case kc.spine != nil:
-				r0.linkChild(&sp.res, kc.node.Label, kc.spine.res.states, kc.spine.res.base)
-				r0.foldChildAFA(sp.rel, sp.transAcc, kc.node.Label, kc.spine.res.afaVals)
+			if kc.spine != nil {
+				r0.foldChildC(&sp.f, kc.lid, kc.tr, kc.spine.f.res.base, kc.spine.f.res.afaVals)
+				continue
 			}
-		}
-		// Bottom-up AFA evaluation and guard kills at the spine node —
-		// the second half of visit(), run in merge order.
-		anyAFA := false
-		for g := range sp.rel {
-			if sp.rel[g] != nil {
-				anyAFA = true
-				break
+			out := &kc.task.out
+			off := int32(r0.numVerts)
+			r0.numVerts += out.numVerts
+			r0.dead = append(r0.dead, out.dead...)
+			for _, ep := range out.edges {
+				r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
 			}
-		}
-		if anyAFA {
-			sp.res.afaVals = r0.getVecB()
-			for g := range sp.rel {
-				if sp.rel[g] == nil {
-					continue
-				}
-				r0.stats.AFAEvaluations++
-				sp.res.afaVals[g] = r0.m.AFAs[g].EvalAtMasked(sp.node, sp.transAcc[g], r0.getBools(g), sp.rel[g])
+			for _, c := range out.cands {
+				c.vid += off
+				r0.cands = append(r0.cands, c)
 			}
+			r0.foldChildC(&sp.f, kc.lid, kc.tr, off+out.res.base, out.res.afaVals)
+			// The shard's private DAG is folded in; drop it now so the GC
+			// reclaims it before the rest of the merge runs.
+			kc.task.out = shardOut{stats: out.stats}
 		}
-		r0.killGuardFailed(sp.node, &sp.res)
+		r0.exitC(sp.node, sp.node, &sp.f)
 	}
 	return nil
 }
 
+// newWorkerRun returns a shard worker's run: a fresh clone of the planner's
+// engine (the clone inherits the cache cap, not the cache) sharing the
+// planner run's context and budget.
+func newWorkerRun(e *Engine, r0 *run) *run {
+	c := e.Clone()
+	c.ensureDFA()
+	return &run{Engine: c, ctx: r0.ctx, bud: r0.bud}
+}
+
 // runShard evaluates one shard task on the worker's run, isolating panics:
-// a panic anywhere below visit() — including an injected ModePanic fault —
+// a panic anywhere below visitC() — including an injected ModePanic fault —
 // is recovered here, inside the worker goroutine (a cross-goroutine panic
 // would kill the process), and reported as the task's error. A shard that
 // trips a resource budget reports its *LimitError the same way.
@@ -351,7 +350,11 @@ func runShard(wr *run, t *shardTask) {
 		t.out.err = err
 		return
 	}
-	t.out.res = wr.visit(t.node, t.cms, t.cseeds)
+	ds := wr.dfa.empty
+	if t.set != nil {
+		ds = wr.dfa.canonical(t.set)
+	}
+	t.out.res = wr.visitC(t.node, ds, t.cseeds)
 	t.out.numVerts = wr.numVerts
 	t.out.edges = wr.edgeList
 	t.out.dead = wr.dead
@@ -391,56 +394,37 @@ func shardSpanOutcome(sp *trace.Span, t *shardTask) {
 	sp.Error(err)
 }
 
-// expandSpine partially visits node n the way visit() would — same stats,
-// same vertex allocation, same per-child pruning — but instead of recursing
-// it records every surviving element child as a shard task appended to
-// tasks. The bottom-up half of the visit runs later, during the merge.
-func (r *run) expandSpine(n *xmltree.Node, ms nfaSet, fseeds []nfaSet, tasks *[]*shardTask) *spineNode {
-	r.stats.VisitedElements++
-	rel := fseeds
-	anyAFA := false
-	for g := range rel {
-		if rel[g] != nil {
-			r.closeAFA(g, rel[g])
-			anyAFA = true
-		}
+// expandSpine runs the entry half of the visit of node n in subset state
+// ds — same stats, same vertex allocation, same per-child pruning as visitC
+// — but instead of recursing it records every surviving element child as a
+// shard task appended to tasks. The exit half runs later, during the merge.
+func (r *run) expandSpine(n *xmltree.Node, ds *dfaState, fseeds []nfaSet, tasks *[]*shardTask) *spineNode {
+	sp := &spineNode{node: n, f: frame{ds: ds, rel: fseeds}}
+	f := &sp.f
+	if !r.enterC(f, n, 0) || !f.descend() {
+		return sp
 	}
-	sp := &spineNode{node: n, rel: rel}
-	sp.res = r.openNode(n, ms)
-	if anyAFA {
-		sp.transAcc = r.getVecB()
-		for g := range rel {
-			if rel[g] != nil {
-				sp.transAcc[g] = r.getBoolsCleared(g)
-			}
+	for _, c := range n.Children {
+		if c.Kind != xmltree.Element {
+			continue
 		}
-	}
-	hasTrans := false
-	ms.forEach(func(s int) {
-		if len(r.m.States[s].Trans) > 0 {
-			hasTrans = true
+		lid := r.prog.labelOf(c.Label)
+		tr, cseeds, ok := r.childC(c, lid, ds, f.rel)
+		if !ok {
+			continue // pruned, already accounted
 		}
-	})
-	if hasTrans || anyAFA {
-		for _, c := range n.Children {
-			if c.Kind != xmltree.Element {
-				continue
-			}
-			cms, cseeds, ok := r.childStates(c, ms, rel)
-			if !ok {
-				continue // pruned, already accounted
-			}
-			t := &shardTask{
-				node:   c,
-				cms:    cms,
-				cseeds: cseeds,
-				size:   r.subtreeSize(c),
-				parent: sp,
-				slot:   len(sp.kids),
-			}
-			sp.kids = append(sp.kids, spineChild{node: c, task: t})
-			*tasks = append(*tasks, t)
+		t := &shardTask{
+			node:   c,
+			cseeds: cseeds,
+			size:   r.subtreeSize(c),
+			parent: sp,
+			slot:   len(sp.kids),
 		}
+		if tr.next != nil {
+			t.set = append(nfaSet(nil), tr.next.set...)
+		}
+		sp.kids = append(sp.kids, spineChild{lid: lid, tr: tr, task: t})
+		*tasks = append(*tasks, t)
 	}
 	return sp
 }

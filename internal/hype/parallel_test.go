@@ -14,13 +14,22 @@ import (
 	"smoqe/internal/xpath"
 )
 
-// assertParallelMatches runs both evaluation paths on a fresh engine pair
-// and demands exact agreement: the answer nodes, their order, and every
-// Stats counter. This is the contract parallel.go promises ("identical by
-// construction"), so any drift is a bug, not noise.
+// reference is the interpreted sequential pointer pass on a fresh engine:
+// what every compiled, columnar and parallel run must reproduce.
+func reference(mk func() *hype.Engine) *hype.Engine {
+	e := mk()
+	e.SetCompiled(false)
+	return e
+}
+
+// assertParallelMatches runs the parallel pass and the interpreted
+// sequential reference on fresh engines and demands exact agreement: the
+// answer nodes, their order, and every Stats counter. This is the contract
+// parallel.go promises ("identical by construction"), so any drift is a
+// bug, not noise.
 func assertParallelMatches(t *testing.T, name, src string, mk func() *hype.Engine, root *xmltree.Node, workers int) {
 	t.Helper()
-	want, wantSt := mk().EvalWithStats(root)
+	want, wantSt := reference(mk).EvalWithStats(root)
 	got, pst, err := mk().EvalParallel(context.Background(), root, workers)
 	if err != nil {
 		t.Errorf("%s w=%d: query %q: unexpected error %v", name, workers, src, err)
@@ -49,7 +58,7 @@ func TestParallelMatchesSequentialOnSample(t *testing.T) {
 			"OptHyPE-C": func() *hype.Engine { return hype.NewOpt(m, comp) },
 		}
 		for name, mk := range mks {
-			for _, w := range []int{1, 4} {
+			for _, w := range []int{1, 2, 4} {
 				assertParallelMatches(t, name, src, mk, doc.Root, w)
 			}
 		}
@@ -70,8 +79,10 @@ func TestParallelMatchesSequentialOnGenerated(t *testing.T) {
 		hospital.RXB,
 	} {
 		m := mfa.MustCompile(xpath.MustParse(src))
-		assertParallelMatches(t, "HyPE", src, func() *hype.Engine { return hype.New(m) }, doc.Root, 4)
-		assertParallelMatches(t, "OptHyPE-C", src, func() *hype.Engine { return hype.NewOpt(m, idx) }, doc.Root, 4)
+		for _, w := range []int{2, 4} {
+			assertParallelMatches(t, "HyPE", src, func() *hype.Engine { return hype.New(m) }, doc.Root, w)
+			assertParallelMatches(t, "OptHyPE-C", src, func() *hype.Engine { return hype.NewOpt(m, idx) }, doc.Root, w)
+		}
 	}
 }
 
@@ -86,7 +97,10 @@ func TestParallelAtInteriorContext(t *testing.T) {
 
 // TestParallelDominationSplit forces the single-dominating-shard shape: a
 // root whose one element child holds everything. The planner must split
-// through the chain instead of degenerating into one sequential shard.
+// through the chain instead of degenerating into one sequential shard. The
+// exact cut (8 spine nodes, 3 shards) is pinned: the planner's decisions
+// depend only on the document and the pruning, never on how a node is
+// visited.
 func TestParallelDominationSplit(t *testing.T) {
 	doc := hospital.SampleDocument()
 	// Rebuild the sample document under a chain of two singleton elements,
@@ -98,7 +112,7 @@ func TestParallelDominationSplit(t *testing.T) {
 
 	src := "inner/" + doc.Root.Label + "/department/patient/pname"
 	m := mfa.MustCompile(xpath.MustParse(src))
-	want, wantSt := hype.New(m).EvalWithStats(wrapped.Root)
+	want, wantSt := reference(func() *hype.Engine { return hype.New(m) }).EvalWithStats(wrapped.Root)
 	got, pst, err := hype.New(m).EvalParallel(context.Background(), wrapped.Root, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +123,11 @@ func TestParallelDominationSplit(t *testing.T) {
 	if pst.Stats != wantSt {
 		t.Fatalf("stats diverge: got %+v want %+v", pst.Stats, wantSt)
 	}
-	if pst.SpineNodes < 2 {
-		t.Errorf("SpineNodes = %d; the dominating chain should have been split", pst.SpineNodes)
+	if pst.SpineNodes != 8 {
+		t.Errorf("SpineNodes = %d, want 8: the dominating chain should have been split", pst.SpineNodes)
 	}
-	if pst.Shards < 2 {
-		t.Errorf("Shards = %d; splitting should expose the departments", pst.Shards)
+	if pst.Shards != 3 {
+		t.Errorf("Shards = %d, want 3: splitting should expose the departments", pst.Shards)
 	}
 }
 
@@ -128,7 +142,7 @@ func TestParallelTaggedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt := hype.New(merged).EvalTaggedWithStats(doc.Root)
+	want, wantSt := reference(func() *hype.Engine { return hype.New(merged) }).EvalTaggedWithStats(doc.Root)
 	got, pst, err := hype.New(merged).EvalTaggedParallel(context.Background(), doc.Root, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +157,76 @@ func TestParallelTaggedMatchesSequential(t *testing.T) {
 	}
 	if pst.Stats != wantSt {
 		t.Errorf("stats diverge: got %+v want %+v", pst.Stats, wantSt)
+	}
+}
+
+// TestParallelUnderTinyCache runs shard-parallel evaluation through the
+// subset-cache lifecycle: with cache cap 1 the planner and every worker
+// clone (clones inherit the cap, not the cache) flush and fall back to
+// uncached NFA simulation, and answers and Stats must still equal the
+// interpreted sequential reference — with no index, a plain index and a
+// compressed index, and for a batch automaton.
+func TestParallelUnderTinyCache(t *testing.T) {
+	doc := datagen.Generate(datagen.DefaultConfig(400))
+	plain := hype.BuildIndex(doc, false)
+	comp := hype.BuildIndex(doc, true)
+	queries := []string{hospital.RXC, "//patient", "department/patient[visit and parent]", "department/patient[not(visit)]/pname"}
+	var ms []*mfa.MFA
+	for _, src := range queries {
+		ms = append(ms, mfa.MustCompile(xpath.MustParse(src)))
+	}
+	merged, err := mfa.Merge(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := func(e *hype.Engine) *hype.Engine {
+		e.SetCompiledCacheCap(1)
+		return e
+	}
+	ctx := context.Background()
+	for _, ix := range []struct {
+		name string
+		idx  *hype.Index
+	}{{"HyPE", nil}, {"OptHyPE", plain}, {"OptHyPE-C", comp}} {
+		mk := func(m *mfa.MFA) func() *hype.Engine {
+			return func() *hype.Engine {
+				if ix.idx == nil {
+					return hype.New(m)
+				}
+				return hype.NewOpt(m, ix.idx)
+			}
+		}
+		for i, m := range ms {
+			want, wantSt := reference(mk(m)).EvalWithStats(doc.Root)
+			for _, w := range []int{2, 4} {
+				got, pst, err := tiny(mk(m)()).EvalParallel(ctx, doc.Root, w)
+				if err != nil {
+					t.Fatalf("%s w=%d %q: %v", ix.name, w, queries[i], err)
+				}
+				if !same(got, want) || pst.Stats != wantSt {
+					t.Errorf("%s w=%d %q: cap-1 parallel run diverges from the reference:\n got %v %+v\nwant %v %+v",
+						ix.name, w, queries[i], ids(got), pst.Stats, ids(want), wantSt)
+				}
+				if pst.Shards < 2 {
+					t.Errorf("%s w=%d %q: %d shards; the workers never ran", ix.name, w, queries[i], pst.Shards)
+				}
+			}
+		}
+		want, wantSt := reference(mk(merged)).EvalTaggedWithStats(doc.Root)
+		for _, w := range []int{2, 4} {
+			got, pst, err := tiny(mk(merged)()).EvalTaggedParallel(ctx, doc.Root, w)
+			if err != nil {
+				t.Fatalf("%s w=%d batch: %v", ix.name, w, err)
+			}
+			for i := range want {
+				if !same(got[i], want[i]) {
+					t.Errorf("%s w=%d batch bucket %d (%q): got %v want %v", ix.name, w, i, queries[i], ids(got[i]), ids(want[i]))
+				}
+			}
+			if pst.Stats != wantSt {
+				t.Errorf("%s w=%d batch: stats diverge:\n got %+v\nwant %+v", ix.name, w, pst.Stats, wantSt)
+			}
+		}
 	}
 }
 

@@ -18,10 +18,13 @@ import (
 	"smoqe/internal/hospital"
 )
 
-// columnarQueries exercises structural recursion, text predicates and
-// position predicates — the features whose columnar translation could
-// plausibly diverge from the pointer path.
+// columnarQueries exercises structural recursion, text predicates,
+// position predicates and steps on labels the document lacks — the
+// features whose columnar translation could plausibly diverge from the
+// pointer path.
 var columnarQueries = []string{
+	"department/nosuch",
+	"department/patient/nosuch",
 	"//diagnosis",
 	hospital.XPA,
 	"department/patient[visit]/pname",

@@ -60,19 +60,13 @@ type PreparedQuery struct {
 	// the zero value is unlimited. See SetLimits.
 	limits hype.Limits
 
-	// compiledOff disarms the compiled evaluation layer on every borrowed
-	// clone; the default (false) evaluates compiled. See SetCompiled.
-	compiledOff bool
-
 	// opt maps a document's index to a pool of OptHyPE clones. All clones
-	// for one index share that single index (it is read-only after build);
-	// the map is tiny — one entry per distinct document the query has been
-	// evaluated against with indexing on. col likewise maps a columnar
-	// document to its label binding, built once and shared zero-copy by
-	// every pooled clone that evaluates against it.
+	// for one index share that single index (it is read-only after build).
+	// A replaced document brings a new index, so the map holds at most
+	// maxIndexPools entries and is cleared wholesale when full: a cached
+	// plan never pins more than that many superseded indexes.
 	mu  sync.Mutex
-	opt map[*Index]*enginePool                 // guarded by mu
-	col map[*ColumnarDocument]*hype.ColBinding // guarded by mu
+	opt map[*Index]*enginePool // guarded by mu
 
 	// pf is the corpus-level document prefilter, built lazily (most
 	// prepared queries never query a collection) and shared — a Prefilter
@@ -190,16 +184,6 @@ func (p *PreparedQuery) SetLimits(l EvalLimits) { p.limits = l }
 // Limits returns the armed resource budgets.
 func (p *PreparedQuery) Limits() EvalLimits { return p.limits }
 
-// SetCompiled enables (the default) or disables compiled evaluation — the
-// lazy subset-automaton + bitset-AFA layer — on every subsequent evaluation
-// of this plan. Answers and statistics are identical either way; the knob
-// exists for A/B measurement and as an escape hatch. Must not be called
-// concurrently with evaluations.
-func (p *PreparedQuery) SetCompiled(on bool) { p.compiledOff = !on }
-
-// Compiled reports whether compiled evaluation is enabled for this plan.
-func (p *PreparedQuery) Compiled() bool { return !p.compiledOff }
-
 // withEngine runs fn with an engine clone borrowed from ep — the single
 // chokepoint of every evaluation path. It arms the plan's resource budgets
 // on the clone and isolates panics: a panic inside fn (a poisoned
@@ -217,7 +201,6 @@ func (p *PreparedQuery) withEngine(ep *enginePool, fn func(e *Engine) error) (er
 		ep.pool.Put(e)
 	}()
 	e.SetLimits(p.limits)
-	e.SetCompiled(!p.compiledOff)
 	err = fn(e)
 	return err
 }
@@ -313,18 +296,15 @@ func (p *PreparedQuery) EvalIndexedTraced(ctx *Node, idx *Index, limit int) ([]*
 // EvalColumnarCtx evaluates the prepared query over a columnar document
 // (the root is the context node), honoring context cancellation and the
 // plan's resource limits, and returns the preorder ids of the answer nodes
-// in document order. The label binding for cd is built on first use and
-// shared by all subsequent evaluations against the same document. Safe for
-// concurrent use.
+// in document order. Safe for concurrent use.
 func (p *PreparedQuery) EvalColumnarCtx(ctx context.Context, cd *ColumnarDocument) ([]int, EngineStats, error) {
 	ctx, sp := trace.Start(ctx, "eval.columnar")
 	defer sp.End()
-	b := p.colBinding(cd)
 	var ids []int
 	var st EngineStats
 	err := p.withEngine(p.pool, func(e *Engine) error {
 		var err error
-		ids, st, err = e.EvalColumnarCtx(ctx, b)
+		ids, st, err = e.EvalColumnarCtx(ctx, cd)
 		return err
 	})
 	if err == nil {
@@ -335,26 +315,18 @@ func (p *PreparedQuery) EvalColumnarCtx(ctx context.Context, cd *ColumnarDocumen
 	return ids, st, err
 }
 
-func (p *PreparedQuery) colBinding(cd *ColumnarDocument) *hype.ColBinding {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b, ok := p.col[cd]
-	if !ok {
-		if p.col == nil {
-			p.col = make(map[*ColumnarDocument]*hype.ColBinding)
-		}
-		b = hype.BindColumnar(p.m, cd)
-		p.col[cd] = b
-	}
-	return b
-}
+// maxIndexPools bounds PreparedQuery.opt. It is well above the number of
+// documents a plan is usually evaluated against at once, so in steady state
+// the map only clears after enough replacements to fill it with indexes of
+// superseded documents.
+const maxIndexPools = 32
 
 func (p *PreparedQuery) indexPool(idx *Index) *enginePool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ep, ok := p.opt[idx]
 	if !ok {
-		if p.opt == nil {
+		if p.opt == nil || len(p.opt) >= maxIndexPools {
 			p.opt = make(map[*Index]*enginePool)
 		}
 		ep = newEnginePool(hype.NewOpt(p.m, idx))

@@ -162,6 +162,30 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPreparedIndexPoolsBounded: every replaced document brings a fresh
+// index, and a plan keeps one OptHyPE engine pool per index it has seen.
+// Over 50 fresh indexes the plan must never hold more than MaxIndexPools
+// of them, and clearing the pools must not change any answer.
+func TestPreparedIndexPoolsBounded(t *testing.T) {
+	p, err := smoqe.PrepareString("department/patient[visit]/pname")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		cfg := datagen.DefaultConfig(5)
+		cfg.Seed = int64(i + 1)
+		doc := datagen.Generate(cfg)
+		want := smoqe.IDsOf(p.Eval(doc.Root))
+		got := smoqe.IDsOf(p.EvalIndexed(doc.Root, smoqe.BuildIndex(doc, true)))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("document %d: indexed answers %v, plain %v", i, got, want)
+		}
+		if n := smoqe.IndexPoolCount(p); n > smoqe.MaxIndexPools {
+			t.Fatalf("after %d indexes the plan holds %d engine pools, bound %d", i+1, n, smoqe.MaxIndexPools)
+		}
+	}
+}
+
 // TestPreparedEvalCtxCancelled: a cancelled context aborts evaluation with
 // an error and the run is not counted in the aggregate statistics.
 func TestPreparedEvalCtxCancelled(t *testing.T) {
